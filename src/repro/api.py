@@ -185,8 +185,8 @@ class AccProgram:
         invariants are asserted, and ``localaccess`` declarations are
         audited (:mod:`repro.sanitizer`).  Checks work purely in data
         space and never touch the virtual clock, so modeled time is
-        unchanged; wall-clock cost is roughly one interpreter pass per
-        loop.  Violations raise
+        unchanged; wall-clock cost is roughly one extra engine pass
+        per loop.  Violations raise
         :class:`~repro.sanitizer.CoherenceViolation`.
 
         ``trace=True`` (or ``REPRO_TRACE=1``) enables the structured

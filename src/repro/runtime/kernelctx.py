@@ -54,10 +54,11 @@ class KernelContext:
     #: baseline): missing dirty trackers / windows / reduction copies are
     #: not errors -- writes go straight to the full arrays.
     permissive: bool = False
-    #: Sanitizer instrumentation: called by the scalar interpreter as
-    #: ``access_hook(name, iteration, index, kind)`` for every array
-    #: access (kind 'r' or 'w').  None (the default) costs one branch.
-    access_hook: Any = None
+    #: Sanitizer instrumentation (the localaccess auditor's span
+    #: recorder): receives every array access of the kernel's audit
+    #: variant, or of the scalar interpreter, through :meth:`audit`.
+    #: None (the default) costs one branch per interpreter access.
+    recorder: Any = None
     #: Tracing instrumentation (:class:`repro.trace.Tracer`): write-miss
     #: and dirty-mark volumes are counted per (loop, GPU, array).  None
     #: (the default) costs one branch per instrumentation call.
@@ -231,6 +232,15 @@ class KernelContext:
                                 np.asarray(value), None, 1)
         self.scalar_results[name] = value
         self.scalar_ops[name] = op
+
+    def audit(self, name: str, iterations: Any, indices: Any, mask: Any,
+              kind: str) -> None:
+        """Report array accesses (kind 'r' or 'w') to the recorder:
+        lane ``k`` of iteration ``iterations[k]`` touched global index
+        ``indices[k]`` if ``mask`` (None: every lane) is set there.
+        Scalars broadcast over lanes."""
+        if self.recorder is not None:
+            self.recorder.record(name, iterations, indices, mask, kind)
 
     def dyn_count(self, label: str, total: int) -> None:
         self.dyn_counts[label] = self.dyn_counts.get(label, 0) + int(total)

@@ -224,6 +224,89 @@ def make_window_evaluator(
     return evaluate
 
 
+#: Every operand and intermediate of the NumPy window evaluator stays
+#: below this magnitude, so int64 arithmetic never overflows and agrees
+#: with the scalar evaluator whatever integer widths the operands carry.
+_VECTOR_LIMIT = 1 << 31
+
+
+class _Declined(Exception):
+    """The NumPy window evaluator does not handle this expression."""
+
+
+def make_vector_window_evaluator(
+    loop_var: str,
+    host_scalars: dict[str, Any],
+    host_arrays: dict[str, np.ndarray],
+) -> Callable[[C.Expr, np.ndarray], np.ndarray | None]:
+    """NumPy twin of :func:`make_window_evaluator` over many iterations.
+
+    ``evaluate(expr, iterations)`` returns an int64 array holding, per
+    iteration, exactly what the scalar evaluator returns -- or None
+    when it declines: a form outside integer literals, the loop
+    variable, signed-integer host scalars, ``+ - * / %``, unary minus
+    and reads of signed-integer host arrays; or an input on which the
+    scalar evaluator would raise (an out-of-range read, a zero divisor,
+    an unknown name) or could wrap (a magnitude of 2**31 or more).
+    Callers then evaluate per iteration with the scalar evaluator,
+    which reproduces its values and errors exactly.
+    """
+
+    def checked(v: Any) -> Any:
+        if np.size(v) and (np.min(v) <= -_VECTOR_LIMIT
+                           or np.max(v) >= _VECTOR_LIMIT):
+            raise _Declined
+        return v
+
+    def value(e: C.Expr, its: np.ndarray) -> Any:
+        if isinstance(e, C.IntLit):
+            return np.int64(checked(e.value))
+        if isinstance(e, C.Ident):
+            if e.name == loop_var:
+                return its
+            v = host_scalars.get(e.name)
+            if isinstance(v, (int, np.signedinteger)) \
+                    and not isinstance(v, bool):
+                return np.int64(checked(v))
+            raise _Declined
+        if isinstance(e, C.BinOp) and e.op in ("+", "-", "*", "/", "%"):
+            l = value(e.left, its)
+            r = value(e.right, its)
+            if e.op == "+":
+                return checked(l + r)
+            if e.op == "-":
+                return checked(l - r)
+            if e.op == "*":
+                return checked(l * r)
+            if np.any(r == 0):
+                raise _Declined
+            if e.op == "/":
+                return np.floor_divide(l, r)
+            return np.remainder(l, r)
+        if isinstance(e, C.UnOp) and e.op in ("-", "+"):
+            v = value(e.operand, its)
+            return -v if e.op == "-" else v
+        if isinstance(e, C.Index) and len(e.indices) == 1:
+            arr = host_arrays.get(e.base_name())
+            if arr is None or arr.dtype.kind != "i":
+                raise _Declined
+            idx = value(e.indices[0], its)
+            if np.any((idx < 0) | (idx >= arr.shape[0])):
+                raise _Declined
+            return checked(arr[idx].astype(np.int64))
+        raise _Declined
+
+    def evaluate(expr: C.Expr, iterations: np.ndarray) -> np.ndarray | None:
+        its = np.asarray(iterations, dtype=np.int64)
+        try:
+            out = value(expr, its)
+        except _Declined:
+            return None
+        return np.array(np.broadcast_to(out, its.shape), dtype=np.int64)
+
+    return evaluate
+
+
 def window_for_tasks(
     window: ReadWindow,
     tasks: tuple[int, int],

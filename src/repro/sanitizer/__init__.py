@@ -6,15 +6,16 @@ write-miss replay, and delta migration between adaptive splits.  The
 sanitizer independently checks all of them while a program runs:
 
 * a **shadow oracle** re-executes every parallel loop single-GPU
-  through the scalar reference interpreter and diffs each written
-  array after the communication phase, localizing the first divergent
-  element to the owning GPU, dirty chunk, and transfer mechanism;
+  with the run's engine and diffs each written array after the
+  communication phase, localizing the first divergent element to the
+  owning GPU, dirty chunk, and transfer mechanism;
 * an **invariant checker** asserts dirty-bit soundness, halo freshness
   before each launch, replica agreement, write-miss replay
   completeness, and reload-skip validity;
 * a **localaccess auditor** records actual per-iteration index spans
-  and flags accesses outside the declared window -- an under-declared
-  range is a user-level race the paper's model cannot express.
+  during the shadow pass and flags accesses outside the declared
+  window -- an under-declared range is a user-level race the paper's
+  model cannot express.
 
 Enable with ``AccProgram.run(..., sanitize=True)`` or the
 ``REPRO_SANITIZE=1`` environment variable.  Violations raise
@@ -22,7 +23,7 @@ Enable with ``AccProgram.run(..., sanitize=True)`` or the
 object exists and the hot paths pay a single ``is None`` test.
 """
 
-from .audit import LocalAccessAuditor
+from .audit import LocalAccessAuditor, SpanRecorder
 from .core import Sanitizer
 from .invariants import InvariantChecker
 from .oracle import ShadowOracle, global_view
@@ -34,5 +35,6 @@ __all__ = [
     "LocalAccessAuditor",
     "Sanitizer",
     "ShadowOracle",
+    "SpanRecorder",
     "global_view",
 ]

@@ -6,8 +6,8 @@ and threaded through :class:`~repro.runtime.context.AccExecutor` and
 
 1. ``before_kernels`` -- pre-launch invariants (halo freshness,
    replica agreement), pre-kernel snapshots of dirty-tracked buffers,
-   and the single-GPU shadow run (which also feeds the localaccess
-   auditor);
+   and the single-GPU shadow run (which also records the localaccess
+   auditor's spans);
 2. ``after_kernels`` -- dirty-bit soundness, while the bits are still
    set;
 3. ``after_comm`` -- replay completeness, post-communication replica
@@ -29,7 +29,7 @@ from typing import Any
 
 from ..runtime.data_loader import DataLoader, ManagedArray
 from ..translator.array_config import ArrayConfig
-from .audit import LocalAccessAuditor
+from .audit import LocalAccessAuditor, SpanRecorder
 from .invariants import InvariantChecker
 from .oracle import OracleExpectation, ShadowOracle
 
@@ -51,7 +51,7 @@ class Sanitizer:
         self.loops_checked = 0
         self._expect: OracleExpectation | None = None
         self._snapshots: dict[str, Any] = {}
-        self._spans: dict[str, Any] = {}
+        self._recorder: SpanRecorder | None = None
         self._configs: dict[str, ArrayConfig] = {}
 
     # -- executor hooks ---------------------------------------------------------
@@ -61,9 +61,9 @@ class Sanitizer:
                        host_env: dict[str, Any]) -> None:
         self.invariants.check_pre_consistency(plan, configs)
         self._snapshots = self.invariants.snapshot_dirty_arrays(configs)
-        hook, self._spans = self.auditor.recorder(configs)
-        self._expect = self.oracle.prepare(plan, configs, tasks,
-                                           host_env, access_hook=hook,
+        self._recorder = self.auditor.recorder(configs, tasks)
+        self._expect = self.oracle.prepare(plan, configs, tasks, host_env,
+                                           recorder=self._recorder,
                                            engine=self.engine)
         self._configs = configs
 
@@ -73,12 +73,12 @@ class Sanitizer:
     def after_comm(self, plan: Any, host_env: dict[str, Any]) -> None:
         configs = self._configs
         self.invariants.check_post_coherence(plan, configs)
-        self.auditor.verify(plan, configs, self._spans, host_env)
+        self.auditor.verify(plan, configs, self._recorder, host_env)
         if self._expect is not None:
             self.oracle.check(plan, configs, self._expect, host_env)
         self._expect = None
         self._snapshots = {}
-        self._spans = {}
+        self._recorder = None
         self._configs = {}
         self.loops_checked += 1
 

@@ -2,14 +2,13 @@
 
 Before the real (multi-GPU) kernels of a parallel loop run, the oracle
 re-executes the loop against private full-length copies of every array
-in one address space, using the scalar reference interpreter in
-permissive mode -- i.e. the semantics the partitioned execution must
-reproduce without any of the partitioning, dirty-bit tracking or
-write-miss machinery.  After the runtime's communication phase
-the oracle diffs every written array against its expectation and
-localizes the first divergent element to the GPU holding it, the dirty
-chunk containing it, and the transfer mechanism that should have
-carried it.
+in one address space, with the run's engine in permissive mode -- i.e.
+the semantics the partitioned execution must reproduce without any of
+the partitioning, dirty-bit tracking or write-miss machinery.  After
+the runtime's communication phase the oracle diffs every written array
+against its expectation and localizes the first divergent element to
+the GPU holding it, the dirty chunk containing it, and the transfer
+mechanism that should have carried it.
 
 The oracle re-seeds from the *actual* device state before every loop
 (:func:`global_view`), so divergence never accumulates across loops:
@@ -148,8 +147,6 @@ class OracleExpectation:
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
     #: Expected finalized scalar-reduction values.
     scalars: dict[str, Any] = field(default_factory=dict)
-    #: Recorded per-iteration access spans (attached by the auditor).
-    spans: dict[str, dict[int, list[int]]] = field(default_factory=dict)
 
 
 class ShadowOracle:
@@ -193,7 +190,7 @@ class ShadowOracle:
 
     def prepare(self, plan: Any, configs: dict[str, ArrayConfig],
                 tasks: list[tuple[int, int]], host_env: dict[str, Any],
-                access_hook: Any = None,
+                recorder: Any = None,
                 engine: str = "vector") -> OracleExpectation:
         """Shadow-execute the loop, one pass per task slice.
 
@@ -208,9 +205,11 @@ class ShadowOracle:
         interpreter equivalence is the differential tests' job, not the
         sanitizer's.
 
-        ``access_hook`` (the localaccess auditor's recorder) sees every
-        scalar array access of a dedicated interpreter pass; under
-        ``engine='interp'`` the expectation pass doubles as it.
+        ``recorder`` (the localaccess auditor's
+        :class:`~repro.sanitizer.audit.SpanRecorder`) sees every array
+        access of this same pass: a vectorized kernel runs as its audit
+        variant (same effects, plus ``ctx.audit`` calls), the
+        interpreter reports each scalar access itself.
         """
         interp = getattr(plan, "interp", None)
         if interp is None:
@@ -227,23 +226,17 @@ class ShadowOracle:
             pre[name] = global_view(ma)
             if cfg.write_handling == WriteHandling.REDUCTION:
                 pre_host[name] = np.asarray(ma.host).copy()
+        audited = (recorder is not None and engine == "vector"
+                   and plan.fn is not None)
         contexts: list[KernelContext] = []
         for g, (t0, t1) in enumerate(tasks):
             ctx = self._shadow_context(plan, configs, pre, host_env, t0, t1)
+            ctx.recorder = recorder
             try:
-                if engine == "interp":
-                    ctx.access_hook = access_hook
-                    interp.run(ctx)
+                if audited:
+                    plan.audit_kernel()(ctx)
                 else:
                     plan.execute(ctx, engine)
-                    if access_hook is not None:
-                        # Audit spans come from the scalar interpreter
-                        # (the only engine with per-access attribution);
-                        # its writes land in throwaway copies.
-                        audit_ctx = self._shadow_context(
-                            plan, configs, pre, host_env, t0, t1)
-                        audit_ctx.access_hook = access_hook
-                        interp.run(audit_ctx)
             except InterpError as e:
                 raise CoherenceViolation(
                     "oracle-failure", loop=plan.name, gpu=g,

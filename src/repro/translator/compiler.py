@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from ..frontend import cast as C
@@ -56,8 +57,8 @@ from .interpreter import KernelInterpreter
 from .vectorizer import (
     KernelSourceInfo,
     VectorizeError,
-    Vectorizer,
     compile_kernel_source,
+    vectorize_loop,
 )
 
 
@@ -122,6 +123,10 @@ class KernelPlan:
     #: Set on fused plans only: the member kernel names, in program
     #: order (:mod:`repro.translator.fusion`).  Trace events carry it.
     fusion_members: tuple[str, ...] | None = None
+    #: Zero-argument recipe generating the audit variant of ``fn``
+    #: (:mod:`repro.translator.vectorizer`); None when not vectorized.
+    audit_codegen: Any = field(default=None, repr=False)
+    _audit_fn: Any = field(default=None, repr=False, compare=False)
 
     def execute(self, ctx, engine: str = "vector") -> None:
         if engine == "vector" and self.fn is not None:
@@ -130,15 +135,25 @@ class KernelPlan:
         assert self.interp is not None
         self.interp.run(ctx)
 
+    def audit_kernel(self) -> Any:
+        """The sanitizer's audit variant of ``fn``: generated and exec'd
+        on first use, so unsanitized compiles and runs never pay for
+        it."""
+        if self._audit_fn is None:
+            self._audit_fn = compile_kernel_source(self.audit_codegen())
+        return self._audit_fn
+
     # -- pickling (the serve registry persists compiled programs) ----------
     #
     # ``fn`` is an exec'd callable and cannot be pickled; it is a pure
     # function of the generated source, so it is dropped on the way out
-    # and re-exec'd from ``source_info`` on the way back in.
+    # and re-exec'd from ``source_info`` on the way back in.  The audit
+    # variant is dropped too and regenerated on demand.
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["fn"] = None
+        state["_audit_fn"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -458,11 +473,13 @@ def _compile_loop(name: str, loop_stmt: C.For, loop_dir: AccLoop,
                     "num_gangs must be a positive constant", par_dir.line)
             plan.max_gangs = ng
     try:
-        vec = Vectorizer(name, analysis, config, scalar_types, dict(local_types))
-        info = vec.generate()
+        info = vectorize_loop(name, analysis, config, scalar_types,
+                              local_types)
         plan.source_info = info
         plan.fn = compile_kernel_source(info)
         plan.cost = info.cost
+        plan.audit_codegen = partial(vectorize_loop, name, analysis, config,
+                                     scalar_types, local_types, audit=True)
     except VectorizeError as exc:
         if options.require_vectorized:
             raise CompileError(str(exc), loop_stmt.line) from exc

@@ -73,6 +73,7 @@ reproduced bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -638,13 +639,10 @@ def _private_names(m: "KernelPlan") -> list[str]:
     return list(m.loop_directive.private)
 
 
-def build_fused_plan(name: str, members: list["KernelPlan"],
-                     demoted: list[DemotedArray],
-                     scope: "Scope") -> "KernelPlan":
-    """Assemble the fused KernelPlan (vector source + interpreter)."""
-    from .compiler import KernelPlan
-
-    first = members[0]
+def fused_kernel_source(name: str, members: list["KernelPlan"],
+                        demoted: list[DemotedArray], scope: "Scope",
+                        audit: bool = False) -> KernelSourceInfo:
+    """Generate the fused kernel (``audit=True``: its audit variant)."""
     demoted_names = {d.name for d in demoted}
     group_written = {aname for m in members
                      for aname, cfg in m.config.arrays.items() if cfg.written}
@@ -692,12 +690,11 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
     inner_labels: list[str] = []
     tmp_base = 0
     label_base = 0
-    interps: list[KernelInterpreter] = []
     for m in members:
         local_types = _local_types(m, scope)
         codegen_cfg = _member_codegen_config(m, demoted, group_written)
         vec = Vectorizer(m.name, m.analysis, codegen_cfg, scalar_types,
-                         dict(local_types))
+                         dict(local_types), audit=audit)
         vec.cost = shared_cost
         vec._tmp = tmp_base
         vec._label = label_base
@@ -716,32 +713,43 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
         # ``v_{scalar}`` binding for the rest of the kernel: restore it.
         for n in sorted(set(vec.locals) & set(scalar_names)):
             lines.append(f"    v_{n} = ctx.scalars[{n!r}]")
-        interps.append(KernelInterpreter(
-            body=m.analysis.nest.body,
-            loop_var=m.loop_var,
-            config=codegen_cfg,
-            scalar_reductions=[],
-            private_names=tuple(_private_names(m)),
-            local_types=dict(local_types),
-        ))
 
-    source = "\n".join(header + lines) + "\n"
-    info = KernelSourceInfo(
+    return KernelSourceInfo(
         name=name,
-        source=source,
+        source="\n".join(header + lines) + "\n",
         cost=KernelCostInfo(buckets=shared_cost.buckets),
         array_names=sorted(merged.arrays),
         scalar_names=scalar_names,
         inner_labels=inner_labels,
         scalar_reductions=[],
     )
+
+
+def build_fused_plan(name: str, members: list["KernelPlan"],
+                     demoted: list[DemotedArray],
+                     scope: "Scope") -> "KernelPlan":
+    """Assemble the fused KernelPlan (vector source + interpreter)."""
+    from .compiler import KernelPlan
+
+    first = members[0]
+    info = fused_kernel_source(name, members, demoted, scope)
+    group_written = {aname for m in members
+                     for aname, cfg in m.config.arrays.items() if cfg.written}
+    interps = [KernelInterpreter(
+        body=m.analysis.nest.body,
+        loop_var=m.loop_var,
+        config=_member_codegen_config(m, demoted, group_written),
+        scalar_reductions=[],
+        private_names=tuple(_private_names(m)),
+        local_types=_local_types(m, scope),
+    ) for m in members]
     plan = KernelPlan(
         name=name,
-        config=merged,
+        config=_merged_config(name, members, {d.name for d in demoted}),
         loop_var=first.loop_var,
         lower=first.lower,
         upper=first.upper,
-        scalar_names=scalar_names,
+        scalar_names=info.scalar_names,
         cost=info.cost,
         analysis=first.analysis,
         source_info=info,
@@ -750,6 +758,8 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
         block_dim=first.block_dim,
         max_gangs=first.max_gangs,
         fusion_members=tuple(m.name for m in members),
+        audit_codegen=partial(fused_kernel_source, name, members, demoted,
+                              scope, audit=True),
     )
     plan.interp = FusedInterpreter(interps, tuple(demoted))
     return plan

@@ -221,8 +221,8 @@ class KernelInterpreter:
         def load_elem(name: str, idx: int) -> Any:
             if name not in ctx.arrays:
                 raise InterpError(f"unmanaged array {name!r}")
-            if ctx.access_hook is not None:
-                ctx.access_hook(name, env.get(self.loop_var), idx, "r")
+            if ctx.recorder is not None:
+                ctx.audit(name, env[self.loop_var], idx, None, "r")
             local = idx - ctx.base[name]
             arr = ctx.arrays[name]
             if not (0 <= local < arr.shape[0]):
@@ -327,8 +327,8 @@ class KernelInterpreter:
                 raise InterpError(f"store to unmanaged array {name!r}", a.line)
             idx = int(ev.eval(a.target.indices[0]))
             value = ev.eval(a.value)
-            if ctx.access_hook is not None:
-                ctx.access_hook(name, env.get(self.loop_var), idx, "w")
+            if ctx.recorder is not None:
+                ctx.audit(name, env[self.loop_var], idx, None, "w")
             gi = np.array([idx], dtype=np.int64)
             gv = np.array([value])
             handling = cfg.write_handling

@@ -31,11 +31,21 @@ becomes the kernel's pricing model.
 The emitted source is kept on the compiled kernel object
 (``CompiledKernel.source``) so tests and users can inspect it, just as
 one would inspect the CUDA the paper's translator writes out.
+
+With ``audit=True`` the generator emits the sanitizer's *audit
+variant*: the same kernel plus a ``ctx.audit(name, iterations,
+indices, mask, kind)`` call before every array load and store.  The
+iterations are ``_i`` (``_i[pos]`` on a CSR axis) and the mask is the
+lane mask under which the access executes -- ``if`` predication,
+lane-varying loop bounds, and the ``&&``/``||``/``?:`` guards the
+scalar interpreter short-circuits -- so the recorded per-iteration
+index spans equal the interpreter's exactly.
 """
 
 from __future__ import annotations
 
 import textwrap
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -123,8 +133,13 @@ class Vectorizer:
         config: LoopConfig,
         scalar_types: dict[str, str],
         local_types: dict[str, str],
+        audit: bool = False,
     ) -> None:
         self.kernel_name = kernel_name
+        self.audit = audit
+        #: Audit variant only: lane mask of the enclosing short-circuit
+        #: or ``?:`` guard (None outside one).
+        self.guard: str | None = None
         self.an = analysis
         self.config = config
         self.scalar_types = scalar_types
@@ -165,6 +180,36 @@ class Vectorizer:
     def tmp(self, prefix: str = "_t") -> str:
         self._tmp += 1
         return f"{prefix}{self._tmp}"
+
+    def hoist(self, src: str) -> str:
+        """Bind ``src`` to a fresh temporary (audit variant: a value the
+        access record and the expression both use is computed once)."""
+        t = self.tmp("_h")
+        self.emit(f"{t} = {src}")
+        return t
+
+    def emit_audit(self, name: str, idx_src: str, kind: str) -> None:
+        """Audit variant: record one access site's indices per lane."""
+        mask = self.guard if self.guard is not None else self.mask
+        self.emit(f"ctx.audit({name!r}, {self.outer_lane_expr('_i')}, "
+                  f"{idx_src}, {mask or 'None'}, {kind!r})")
+
+    @contextmanager
+    def guarded(self, cond_src: str, negate: bool = False):
+        """Audit variant: accesses translated inside execute only on the
+        lanes where ``cond_src`` holds (negated: fails), as under the
+        interpreter's short-circuit and ``?:`` evaluation."""
+        saved = self.guard
+        outer = saved if saved is not None else self.mask
+        cond = f"{'~' if negate else ''}{self._boolify(cond_src)}"
+        g = self.tmp("_am")
+        self.emit(f"{g} = {cond}" if outer is None
+                  else f"{g} = {outer} & {cond}")
+        self.guard = g
+        try:
+            yield
+        finally:
+            self.guard = saved
 
     def new_label(self) -> str:
         label = f"L{self._label}"
@@ -312,8 +357,15 @@ class Vectorizer:
             return self.tx_unop(e)
         if isinstance(e, C.Ternary):
             c = self.as_bool(e.cond)
-            a = self.tx(e.then)
-            b = self.tx(e.other)
+            if self.audit:
+                c = self.hoist(c)
+                with self.guarded(c):
+                    a = self.tx(e.then)
+                with self.guarded(c, negate=True):
+                    b = self.tx(e.other)
+            else:
+                a = self.tx(e.then)
+                b = self.tx(e.other)
             self.cost.flop("cmp")
             return f"np.where({c}, {a}, {b})"
         if isinstance(e, C.Call):
@@ -374,7 +426,12 @@ class Vectorizer:
         rt = self.expr_type(e.right)
         is_float = "float" in (lt, rt)
         l = self.tx(e.left)
-        r = self.tx(e.right)
+        if self.audit and op in ("&&", "||"):
+            l = self.hoist(l)
+            with self.guarded(l, negate=op == "||"):
+                r = self.tx(e.right)
+        else:
+            r = self.tx(e.right)
         if op == "&&":
             self.cost.intop()
             return f"({self._boolify(l)} & {self._boolify(r)})"
@@ -443,6 +500,9 @@ class Vectorizer:
             raise VectorizeError(f"access to unmanaged array {name!r}", e.line)
         idx = self.linear_index(e)
         idx_src = self.tx(idx)
+        if self.audit:
+            idx_src = self.hoist(idx_src)
+            self.emit_audit(name, idx_src, "r")
         self.cost.intop(1)
         self.cost.access(_itemsize(cfg.ctype), self.classify_access(name, idx))
         slow = f"ks.ld(v_{name}, ({idx_src}) - _b_{name})"
@@ -667,6 +727,9 @@ class Vectorizer:
                 "reduction; annotate it with '#pragma acc reductiontoarray' "
                 "(paper section III-B)", a.line)
         val_src = self.tx(a.value)
+        if self.audit:
+            idx_src = self.hoist(idx_src)
+            self.emit_audit(name, idx_src, "w")
         self.cost.intop(1)
         self.cost.access(_itemsize(cfg.ctype), access)
         if a.op:
@@ -911,6 +974,9 @@ class Vectorizer:
             _Axis(kind="csr", lanes=f"{evar}.size", axis_var=il.var, pos=pos)
         )
         self.csr_vars[il.var] = evar
+        if self.audit:
+            # Gather the flat lanes' iterations once, at axis level.
+            self.outer_lane_expr("_i")
         self.cost.push(label)
         self.emit_stmt(s.body)
         self.cost.pop()
@@ -982,6 +1048,16 @@ def _op_matches(stmt_op: str, red_op: str) -> bool:
 #: compile+exec entirely.
 _EXEC_CACHE: dict[str, Any] = {}
 _EXEC_CACHE_MAX = 512
+
+
+def vectorize_loop(kernel_name: str, analysis: LoopAnalysis,
+                   config: LoopConfig, scalar_types: dict[str, str],
+                   local_types: dict[str, str],
+                   audit: bool = False) -> KernelSourceInfo:
+    """Generate one parallel loop's kernel (``audit=True``: its audit
+    variant, see the module docstring)."""
+    return Vectorizer(kernel_name, analysis, config, scalar_types,
+                      dict(local_types), audit=audit).generate()
 
 
 def compile_kernel_source(info: KernelSourceInfo):
