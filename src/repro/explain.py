@@ -17,7 +17,10 @@ as a report so the programmer can see, per loop and per array:
 * whether the sanitizer's localaccess auditor cross-checks the window
   in sanitized runs (every active distribution window is audited, so a
   too-narrow inferred window raises ``CoherenceViolation`` instead of
-  silently reading stale halo).
+  silently reading stale halo), and
+* how the generated kernel runs each inner loop: flattened onto
+  ``(j, lane)`` blocks, sequential (with the reason it is not
+  independent), or CSR-flattened (see :mod:`repro.translator.vectorizer`).
 
 Use it three ways::
 
@@ -112,6 +115,9 @@ class LoopReport:
     loop: str
     loop_var: str
     arrays: tuple[ArrayReport, ...]
+    #: (inner loop variable, strategy) in source order; empty when the
+    #: loop has no inner loops or runs on the scalar interpreter.
+    inner_loops: tuple[tuple[str, str], ...] = ()
 
     def array(self, name: str) -> ArrayReport:
         for a in self.arrays:
@@ -183,6 +189,8 @@ class ExplainReport:
                 lines.append(f"  {a.array:<{width}}  {a.describe()}")
             if not lp.arrays:
                 lines.append("  (no device arrays)")
+            for var, strategy in lp.inner_loops:
+                lines.append(f"  inner loop {var}: {strategy}")
         if self.fusion is not None:
             lines.append(self.fusion.render())
         return "\n".join(lines)
@@ -216,7 +224,8 @@ def _bound_text(e: Expr, loop_var: str) -> str:
     return f"{head} {'+' if off > 0 else '-'} {abs(off)}"
 
 
-def _loop_report(config: LoopConfig) -> LoopReport:
+def _loop_report(plan: Any) -> LoopReport:
+    config: LoopConfig = plan.config
     audited = audited_windows(config.arrays)
     rows: list[ArrayReport] = []
     for name, cfg in sorted(config.arrays.items()):
@@ -244,8 +253,11 @@ def _loop_report(config: LoopConfig) -> LoopReport:
             coalesced=cfg.coalesced_hint,
             audited=name in audited,
         ))
+    info = plan.source_info
     return LoopReport(loop=config.kernel_name, loop_var=config.loop_var,
-                      arrays=tuple(rows))
+                      arrays=tuple(rows),
+                      inner_loops=tuple(info.inner_strategies)
+                      if info is not None else ())
 
 
 def explain(target: Any,
@@ -280,7 +292,7 @@ def explain(target: Any,
             bails=tuple((b.first, b.second, b.reason)
                         for b in compiled.fusion_bails))
     return ExplainReport(
-        loops=tuple(_loop_report(p.config) for p in compiled.plans),
+        loops=tuple(_loop_report(p) for p in compiled.plans),
         fusion=fusion)
 
 

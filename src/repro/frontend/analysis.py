@@ -293,6 +293,20 @@ class LoopAnalysis:
 # ---------------------------------------------------------------------------
 
 
+def is_unit_step(step: C.Expr | None, var: str) -> bool:
+    """Is ``step`` ``var++`` / ``var += 1`` / ``var = var + 1``?"""
+    if not (isinstance(step, C.Assign) and isinstance(step.target, C.Ident)
+            and step.target.name == var):
+        return False
+    if step.op == "+":
+        return const_value(step.value) == 1
+    return (step.op == "" and isinstance(step.value, C.BinOp)
+            and step.value.op == "+"
+            and isinstance(step.value.left, C.Ident)
+            and step.value.left.name == var
+            and const_value(step.value.right) == 1)
+
+
 def normalize_loop(stmt: C.For, directive: AccLoop | None = None) -> LoopNest:
     """Check the canonical parallel-loop shape and extract bounds.
 
@@ -321,19 +335,7 @@ def normalize_loop(stmt: C.For, directive: AccLoop | None = None) -> LoopNest:
     upper = stmt.cond.right
     if stmt.cond.op == "<=":
         upper = C.BinOp("+", upper, C.IntLit(1))
-    # step
-    step_ok = False
-    if isinstance(stmt.step, C.Assign) and isinstance(stmt.step.target, C.Ident) \
-            and stmt.step.target.name == var:
-        if stmt.step.op == "+" and const_value(stmt.step.value) == 1:
-            step_ok = True
-        if stmt.step.op == "" and isinstance(stmt.step.value, C.BinOp) \
-                and stmt.step.value.op == "+" \
-                and isinstance(stmt.step.value.left, C.Ident) \
-                and stmt.step.value.left.name == var \
-                and const_value(stmt.step.value.right) == 1:
-            step_ok = True
-    if not step_ok:
+    if not is_unit_step(stmt.step, var):
         raise AnalysisError("parallel loop step must be 'i++' (unit stride)", line)
     return LoopNest(stmt=stmt, var=var, lower=lower, upper=upper,
                     body=stmt.body, directive=directive)

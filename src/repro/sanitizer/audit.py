@@ -58,7 +58,9 @@ def audited_windows(configs: dict[str, ArrayConfig]) -> dict[str, str]:
     The adaptive advisor's replica demotion candidates
     (``cfg.inferred_window`` on REPLICA arrays) are not audited: the
     array is replicated, every GPU holds all of it, and no read can
-    miss.  ``repro.explain`` uses this same predicate to report which
+    miss.  Once the balancer demotes one, its effective config carries
+    that window, origin ``"inferred"``, and it is audited as one.
+    ``repro.explain`` uses this same predicate to report which
     placements a sanitized run cross-checks.
     """
     out: dict[str, str] = {}
@@ -93,7 +95,12 @@ class SpanRecorder:
 
     def record(self, name: str, iterations: Any, indices: Any, mask: Any,
                kind: str) -> None:
-        """Fold one access site (see ``KernelContext.audit``)."""
+        """Fold one access site (see ``KernelContext.audit``).
+
+        Iterations, indices and mask broadcast against each other: a
+        flattened inner loop reports its ``(W, n)`` block of indices
+        against the ``(n,)`` iterations ``_i``.
+        """
         span = self.spans.get(name)
         if span is None or (kind == "w" and name in self.write_exempt):
             return
@@ -105,8 +112,12 @@ class SpanRecorder:
                 if not m:
                     return
             else:
-                pos = np.broadcast_to(pos, m.shape)[m]
-                idx = np.broadcast_to(idx, m.shape)[m]
+                shape = np.broadcast_shapes(pos.shape, idx.shape, m.shape)
+                m = np.broadcast_to(m, shape)
+                pos = np.broadcast_to(pos, shape)[m]
+                idx = np.broadcast_to(idx, shape)[m]
+        elif idx.ndim > pos.ndim:
+            pos = np.broadcast_to(pos, idx.shape)
         np.minimum.at(span[0], pos, idx)
         np.maximum.at(span[1], pos, idx)
 

@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
             if r.error is not None:
                 status = f"FAILED: {r.error}"
             print(f"{r.request_id:12} {r.request.tenant:10} "
-                  f"{r.request.ngpus:>4} {slots:16} {wait:8.1f} {svc:8.1f} "
+                  f"{r.request.ngpus:>4} {slots:16} {wait:8.3f} {svc:8.3f} "
                   f"{modeled} {status}")
         print()
     print(report.summary())

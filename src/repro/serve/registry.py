@@ -12,7 +12,7 @@ share an entry.
 
 Entry format (``<key>.prog``)::
 
-    8 bytes   magic  b"RPROG1\\n\\0"
+    8 bytes   magic  b"RPROG2\\n\\0"
     8 bytes   payload length, big-endian
     32 bytes  SHA-256 of the payload
     N bytes   payload: pickled frozen program state
@@ -53,7 +53,12 @@ from ..translator.compiler import (
 
 log = logging.getLogger(__name__)
 
-MAGIC = b"RPROG1\n\0"
+#: Entry format tag.  Bump it when a pickled compiled-program class
+#: changes shape: older entries then fail the magic check and are
+#: evicted and recompiled instead of thawing without the new fields
+#: (RPROG2: ``KernelInterpreter.inner_loops``/``label_base`` and
+#: ``KernelSourceInfo.inner_strategies``).
+MAGIC = b"RPROG2\n\0"
 _HEADER = struct.Struct(">8sQ32s")
 
 #: Registry stat counter names (all start at zero).

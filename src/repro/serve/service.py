@@ -7,25 +7,36 @@ compile cache), and runs admitted requests on disjoint GPU-slot
 subsets carved from one shared modeled fleet
 (:meth:`~repro.vcuda.specs.MachineSpec.subset`).  Placement and
 ordering live in :mod:`repro.serve.scheduler`; this module owns the
-threads, the queue, and the observability.
+queue, the modeled clock, and the observability.
 
-Observability rides the PR 4 trace subsystem: the service keeps a
+Time is modeled, not measured.  The service is a discrete-event loop
+over a clock in modeled seconds: ``submit`` is an arrival at the
+current clock, admission happens at that instant if the fleet has
+room, and an admitted request occupies its slots for exactly its
+modeled ``run.elapsed`` (compilation costs no modeled time).  Requests
+still execute for real -- that is how their results and ``elapsed``
+are obtained -- but the clock advances only while a caller waits
+(``drain`` / ``RequestRecord.result``), completing requests in
+modeled-finish order (ties in admission order).  Queue order, waits,
+peak concurrency and utilization are therefore facts of the model,
+identical on every host and independent of simulator speed.
+
+Observability rides the trace subsystem: the service keeps a
 :class:`~repro.trace.Tracer` whose event log receives one instant per
 request-lifecycle transition (``req_enqueued`` / ``req_admitted`` /
 ``req_placed`` / ``req_completed`` -- plus ``req_rejected`` and
-``req_failed``), timestamped with wall seconds since service start,
-and whose metrics registry accumulates queue-wait and occupancy
-counters.  ``repro.trace.jsonl(service.tracer)`` and
+``req_failed``), timestamped on the modeled clock, and whose metrics
+registry accumulates queue-wait and occupancy counters.  ``repro.trace.jsonl(service.tracer)`` and
 ``chrome_trace(service.tracer)`` export it like any traced run.
 
 Isolation argument, in one place: a :class:`CompiledProgram` is
 immutable at run time (the runtime copies per-loop state into its own
 structures -- the same property that makes the in-memory compile cache
 safe), every run builds its own ``Platform``/loader/executor, and the
-fleet hands each admitted request a disjoint slot subset, so N service
-threads produce bit-identical results to the same programs run
-serially; ``tests/test_serve_service.py`` pins this with the
-determinism-matrix comparison harness.
+fleet hands each admitted request a disjoint slot subset, so requests
+submitted from N threads produce bit-identical results to the same
+programs run serially; ``tests/test_serve_service.py`` pins this with
+the determinism-matrix comparison harness.
 """
 
 from __future__ import annotations
@@ -87,7 +98,7 @@ class RequestRecord:
     request_id: str
     request: RunRequest
     bytes_per_gpu: int = 0
-    #: Wall seconds since service start, per transition.
+    #: Modeled seconds since service start, per transition.
     enqueued_at: float = 0.0
     admitted_at: float | None = None
     completed_at: float | None = None
@@ -97,8 +108,9 @@ class RequestRecord:
     compile_outcome: str | None = None
     run: ProgramRun | None = None
     error: BaseException | None = None
-    _done: threading.Event = field(default_factory=threading.Event,
-                                   repr=False)
+    #: Modeled completion time, known once the request has executed.
+    _finish_at: float | None = field(default=None, repr=False)
+    _service: ProgramService | None = field(default=None, repr=False)
 
     @property
     def wait_seconds(self) -> float | None:
@@ -109,23 +121,23 @@ class RequestRecord:
 
     @property
     def service_seconds(self) -> float | None:
-        """Admission to completion (compile + run wall time)."""
+        """Admission to completion: the run's modeled ``elapsed``."""
         if self.admitted_at is None or self.completed_at is None:
             return None
         return self.completed_at - self.admitted_at
 
     def result(self, timeout: float | None = None) -> ProgramRun:
-        """Block until the request finishes; re-raise its failure."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not done after {timeout}s")
+        """Advance the service until this request finishes; re-raise
+        its failure."""
+        if self._service is not None:
+            self._service._advance(self, timeout)
         if self.error is not None:
             raise self.error
         assert self.run is not None
         return self.run
 
     def done(self) -> bool:
-        return self._done.is_set()
+        return self.completed_at is not None
 
 
 @dataclass
@@ -139,12 +151,13 @@ class ServiceReport:
     completed: int
     failed: int
     rejected: int
-    wall_seconds: float
-    #: Queue-wait stats over admitted requests (wall seconds).
+    #: Modeled clock at report time: the last completion.
+    makespan_seconds: float
+    #: Queue-wait stats over admitted requests (modeled seconds).
     wait_mean: float
     wait_max: float
     #: Time-averaged busy-slot fraction: busy slot-seconds divided by
-    #: (fleet slots x wall seconds).
+    #: (fleet slots x makespan).
     utilization: float
     #: Highest number of concurrently placed requests observed.
     peak_concurrency: int
@@ -159,11 +172,11 @@ class ServiceReport:
             f"requests: {self.submitted} submitted, "
             f"{self.completed} completed, {self.failed} failed, "
             f"{self.rejected} rejected",
-            f"wall time: {self.wall_seconds:.3f}s, fleet utilization: "
-            f"{self.utilization:.1%}, peak concurrency: "
-            f"{self.peak_concurrency}",
-            f"queue wait: mean {self.wait_mean * 1e3:.1f}ms, "
-            f"max {self.wait_max * 1e3:.1f}ms",
+            f"modeled makespan: {self.makespan_seconds * 1e3:.3f}ms, "
+            f"fleet utilization: {self.utilization:.1%}, "
+            f"peak concurrency: {self.peak_concurrency}",
+            f"queue wait: mean {self.wait_mean * 1e3:.3f}ms, "
+            f"max {self.wait_max * 1e3:.3f}ms",
             "completed per tenant: " + ", ".join(
                 f"{t}={n}" for t, n in sorted(
                     self.per_tenant_completed.items())),
@@ -178,15 +191,16 @@ class ServiceReport:
 
 
 class ProgramService:
-    """Admission queue + worker threads over one shared modeled fleet.
+    """Admission queue + modeled clock over one shared modeled fleet.
 
-    ``submit`` never blocks on fleet capacity: requests the idle fleet
-    could host queue until slots free up; requests it could never host
-    are rejected immediately with a structured
+    ``submit`` never blocks: requests the idle fleet could host are
+    admitted at once if they fit or queue until slots free up; requests
+    it could never host are rejected immediately with a structured
     :class:`~repro.serve.scheduler.AdmissionError` (as are submissions
-    beyond ``max_queue``, when given).  Each admitted request executes
-    on its own thread against a carved sub-fleet, so at most
-    ``fleet.gpu_count`` requests run concurrently.
+    beyond ``max_queue``, when given).  Each admitted request runs on a
+    carved sub-fleet, so at most ``fleet.gpu_count`` requests overlap
+    in modeled time.  ``drain`` / ``RequestRecord.result`` run the
+    event loop; ``submit`` may be called from any thread.
     """
 
     def __init__(self, fleet: MachineSpec | ClusterSpec,
@@ -200,29 +214,27 @@ class ProgramService:
         self.max_queue = max_queue
         self.state = FleetState(fleet, span_nodes=span_nodes)
         self.tracer = Tracer(ngpus=fleet.gpu_count, machine=fleet.name)
+        #: Guards the queue, records, fleet state and clock.
         self._lock = threading.Lock()
+        #: Held by the one caller advancing the clock.
+        self._pump = threading.Lock()
         self._queue: list[QueueEntry] = []
         self._records: dict[str, RequestRecord] = {}
         self._order: list[str] = []
         self._arrivals = itertools.count()
-        self._threads: list[threading.Thread] = []
-        self._placed_now = 0
+        #: Admitted, not yet completed, in admission order.
+        self._running: list[RequestRecord] = []
+        self._clock = 0.0
         self._peak_concurrency = 0
         self._busy_slot_seconds = 0.0
         self._rejected = 0
-        self._t0 = time.monotonic()
         self._closed = False
-
-    # -- time base -----------------------------------------------------------
-
-    def _now(self) -> float:
-        """Wall seconds since service start (the trace time base)."""
-        return time.monotonic() - self._t0
 
     # -- submission ----------------------------------------------------------
 
     def submit(self, request: RunRequest) -> RequestRecord:
-        """Enqueue one request; returns its ticket immediately.
+        """Enqueue one request at the current modeled time; returns its
+        ticket immediately.
 
         Raises :class:`AdmissionError` (``oversized_gpus`` /
         ``oversized_memory`` / ``queue_full``) when the request cannot
@@ -248,7 +260,7 @@ class ProgramService:
             except AdmissionError as exc:
                 self._rejected += 1
                 self.tracer.emit(
-                    EVENT_REQ_REJECTED, request_id, start=self._now(),
+                    EVENT_REQ_REJECTED, request_id, start=self._clock,
                     tenant=request.tenant, code=exc.code, reason=str(exc))
                 self.tracer.metrics.count("requests_rejected", 1,
                                           tenant=request.tenant,
@@ -256,7 +268,7 @@ class ProgramService:
                 raise
             record = RequestRecord(request_id=request_id, request=request,
                                    bytes_per_gpu=bytes_per_gpu,
-                                   enqueued_at=self._now())
+                                   enqueued_at=self._clock, _service=self)
             self._records[request_id] = record
             self._order.append(request_id)
             self._queue.append(QueueEntry(
@@ -269,12 +281,12 @@ class ProgramService:
                 nbytes=bytes_per_gpu)
             self.tracer.metrics.count("requests_enqueued", 1,
                                       tenant=request.tenant)
-            self._tick_locked()
+            self._admit_locked()
         return record
 
     # -- scheduling ----------------------------------------------------------
 
-    def _tick_locked(self) -> None:
+    def _admit_locked(self) -> None:
         """Admit queued requests while the policy finds one that fits."""
         while True:
             entry = self.policy.pick(self._queue, self.state)
@@ -286,13 +298,13 @@ class ProgramService:
             self._queue.remove(entry)
             self.policy.admitted(entry)
             record: RequestRecord = entry.payload
-            now = self._now()
+            now = self._clock
             record.admitted_at = now
             record.slots = slots
             self.state.reserve(entry.request_id, slots, entry.bytes_per_gpu)
-            self._placed_now += 1
+            self._running.append(record)
             self._peak_concurrency = max(self._peak_concurrency,
-                                         self._placed_now)
+                                         len(self._running))
             self.tracer.emit(EVENT_REQ_ADMITTED, entry.request_id, start=now,
                              tenant=entry.tenant)
             self.tracer.emit(EVENT_REQ_PLACED, entry.request_id, start=now,
@@ -304,11 +316,6 @@ class ProgramService:
                 "queue_wait_seconds", record.wait_seconds or 0.0,
                 tenant=entry.tenant)
             self.tracer.metrics.count("slot_acquisitions", len(slots))
-            t = threading.Thread(
-                target=self._execute, args=(record,),
-                name=f"serve-{entry.request_id}", daemon=True)
-            self._threads.append(t)
-            t.start()
 
     def _compile(self, request: RunRequest) -> tuple[AccProgram, str]:
         if self.registry is not None:
@@ -321,6 +328,8 @@ class ProgramService:
             ("cache_hit" if info.hit else "cache_miss")
 
     def _execute(self, record: RequestRecord) -> None:
+        """Compile and run one admitted request; fixes its modeled
+        finish time (a failed request frees its slots at admission)."""
         request = record.request
         try:
             program, outcome = self._compile(request)
@@ -329,70 +338,101 @@ class ProgramService:
             record.run = program.run(
                 request.entry, request.args, machine=sub,
                 ngpus=len(record.slots), **request.run_kwargs)
-        except BaseException as exc:  # noqa: BLE001 -- ticket carries it
+        except Exception as exc:  # noqa: BLE001 -- ticket carries it
             record.error = exc
-        finally:
+        elapsed = record.run.elapsed if record.error is None else 0.0
+        with self._lock:
+            record._finish_at = record.admitted_at + elapsed
+
+    def _complete_locked(self, record: RequestRecord) -> None:
+        request = record.request
+        self._clock = record._finish_at
+        record.completed_at = self._clock
+        self._running.remove(record)
+        self._busy_slot_seconds += record.service_seconds * len(record.slots)
+        self.state.release(record.request_id, record.slots,
+                           record.bytes_per_gpu)
+        kind = (EVENT_REQ_COMPLETED if record.error is None
+                else EVENT_REQ_FAILED)
+        attrs = {"tenant": request.tenant,
+                 "slots": list(record.slots),
+                 "wait_seconds": record.wait_seconds,
+                 "service_seconds": record.service_seconds,
+                 "compile_outcome": record.compile_outcome}
+        if record.error is not None:
+            attrs["error"] = repr(record.error)
+        else:
+            attrs["modeled_seconds"] = record.run.elapsed
+        self.tracer.emit(kind, record.request_id, start=self._clock,
+                         **attrs)
+        self.tracer.metrics.count(
+            "requests_completed" if record.error is None
+            else "requests_failed", 1, tenant=request.tenant)
+        self.tracer.metrics.observe(
+            "service_seconds", record.service_seconds,
+            tenant=request.tenant)
+
+    def _step(self) -> bool:
+        """Complete the running request that finishes first in modeled
+        time, then admit what now fits.  Returns False when nothing is
+        running."""
+        while True:
             with self._lock:
-                now = self._now()
-                record.completed_at = now
-                busy = (record.service_seconds or 0.0) * len(record.slots)
-                self._busy_slot_seconds += busy
-                self.state.release(record.request_id, record.slots,
-                                   record.bytes_per_gpu)
-                self._placed_now -= 1
-                kind = (EVENT_REQ_COMPLETED if record.error is None
-                        else EVENT_REQ_FAILED)
-                attrs = {"tenant": request.tenant,
-                         "slots": list(record.slots),
-                         "wait_seconds": record.wait_seconds,
-                         "service_seconds": record.service_seconds,
-                         "compile_outcome": record.compile_outcome}
-                if record.error is not None:
-                    attrs["error"] = repr(record.error)
-                elif record.run is not None:
-                    attrs["modeled_seconds"] = record.run.elapsed
-                self.tracer.emit(kind, record.request_id, start=now, **attrs)
-                self.tracer.metrics.count(
-                    "requests_completed" if record.error is None
-                    else "requests_failed", 1, tenant=request.tenant)
-                self.tracer.metrics.observe(
-                    "service_seconds", record.service_seconds or 0.0,
-                    tenant=request.tenant)
-                self._tick_locked()
-            record._done.set()
+                pending = [r for r in self._running if r._finish_at is None]
+                if not pending:
+                    if not self._running:
+                        assert not self._queue, \
+                            "queued requests on an idle fleet"
+                        return False
+                    # min() keeps the first of equal finish times:
+                    # ties complete in admission order.
+                    first = min(self._running, key=lambda r: r._finish_at)
+                    self._complete_locked(first)
+                    self._admit_locked()
+                    return True
+            for record in pending:
+                self._execute(record)
+
+    def _advance(self, until: RequestRecord | None,
+                 timeout: float | None) -> None:
+        """Run the event loop until ``until`` completes (``None``: until
+        the fleet is idle).  ``timeout`` bounds the host seconds spent."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._pump.acquire(timeout=-1 if timeout is None
+                                  else timeout):
+            raise TimeoutError(f"service busy for {timeout}s")
+        try:
+            while until is None or not until.done():
+                if deadline is not None and time.monotonic() > deadline:
+                    what = ("drain" if until is None
+                            else f"request {until.request_id}")
+                    raise TimeoutError(f"{what} not done after {timeout}s")
+                if not self._step():
+                    return
+        finally:
+            self._pump.release()
 
     # -- lifecycle -----------------------------------------------------------
 
     def drain(self, timeout: float | None = None) -> list[RequestRecord]:
-        """Wait until every submitted request finished; return tickets
+        """Run until every submitted request finished; return tickets
         in submission order (failures stay on the ticket, they do not
-        raise here)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        raise here).  ``timeout`` bounds the host seconds spent."""
+        self._advance(None, timeout)
         with self._lock:
-            records = [self._records[rid] for rid in self._order]
-        for rec in records:
-            left = None if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            if not rec._done.wait(left):
-                raise TimeoutError(
-                    f"request {rec.request_id} still pending after drain "
-                    f"timeout")
-        return records
+            return [self._records[rid] for rid in self._order]
 
     def shutdown(self, timeout: float | None = None) -> None:
         self.drain(timeout)
         with self._lock:
             self._closed = True
-            threads = list(self._threads)
-        for t in threads:
-            t.join(timeout)
 
     # -- reporting -----------------------------------------------------------
 
     def report(self) -> ServiceReport:
         with self._lock:
             records = [self._records[rid] for rid in self._order]
-            wall = self._now()
+            makespan = self._clock
             busy = self._busy_slot_seconds
             peak = self._peak_concurrency
             rejected = self._rejected
@@ -417,11 +457,11 @@ class ProgramService:
             completed=len(completed),
             failed=len(failed),
             rejected=rejected,
-            wall_seconds=wall,
+            makespan_seconds=makespan,
             wait_mean=sum(waits) / len(waits) if waits else 0.0,
             wait_max=max(waits) if waits else 0.0,
-            utilization=(busy / (wall * self.fleet.gpu_count)
-                         if wall > 0 else 0.0),
+            utilization=(busy / (makespan * self.fleet.gpu_count)
+                         if makespan > 0 else 0.0),
             peak_concurrency=peak,
             per_tenant_completed=per_tenant,
             compile_outcomes=outcomes,

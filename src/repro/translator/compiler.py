@@ -50,7 +50,7 @@ from .array_config import (
     WriteHandling,
     window_from_spec,
 )
-from .infer import harmonize_windows, infer_array_window
+from .infer import harmonize_windows, infer_array_window, window_from_span
 from ..vcuda.device import KernelWork
 from .cost import KernelCostInfo
 from .interpreter import KernelInterpreter
@@ -600,13 +600,9 @@ def _build_loop_config(name: str, loop_var: str, analysis: LoopAnalysis,
                 and spec is None):
             span = _affine_access_span(usage, loop_var)
             if span is not None:
-                coeff, lo_c, hi_c = span
-                i = C.Ident(loop_var)
-                scaled = C.BinOp("*", C.IntLit(coeff), i)
-                cfg.inferred_window = ReadWindow(
-                    lower=C.BinOp("+", scaled, C.IntLit(lo_c)),
-                    upper=C.BinOp("+", scaled, C.IntLit(hi_c)),
-                )
+                # origin="inferred": once the balancer adopts it, a
+                # violation is a compiler bug, not a user error.
+                cfg.inferred_window = window_from_span(span, loop_var)
                 cfg.inferred_span = span
         config.arrays[arr_name] = cfg
     # Unknown localaccess targets are programmer errors worth reporting.

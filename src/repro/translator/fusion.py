@@ -688,6 +688,7 @@ def fused_kernel_source(name: str, members: list["KernelPlan"],
     shared_cost = CostCollector()
     lines: list[str] = []
     inner_labels: list[str] = []
+    inner_strategies: list[tuple[str, str]] = []
     tmp_base = 0
     label_base = 0
     for m in members:
@@ -707,11 +708,14 @@ def fused_kernel_source(name: str, members: list["KernelPlan"],
         vec.emit_stmt(m.analysis.nest.body)
         lines.extend(vec.lines)
         inner_labels.extend(vec.inner_labels)
+        inner_strategies.extend(vec.inner_strategies)
         tmp_base = vec._tmp
         label_base = vec._label
         # A member local named like a host scalar shadowed the shared
         # ``v_{scalar}`` binding for the rest of the kernel: restore it.
-        for n in sorted(set(vec.locals) & set(scalar_names)):
+        # (Every body declaration counts: a flattened inner loop's
+        # locals leave ``vec.locals`` at the end of the loop.)
+        for n in sorted(set(local_types) & set(scalar_names)):
             lines.append(f"    v_{n} = ctx.scalars[{n!r}]")
 
     return KernelSourceInfo(
@@ -722,6 +726,7 @@ def fused_kernel_source(name: str, members: list["KernelPlan"],
         scalar_names=scalar_names,
         inner_labels=inner_labels,
         scalar_reductions=[],
+        inner_strategies=inner_strategies,
     )
 
 
@@ -735,14 +740,17 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
     info = fused_kernel_source(name, members, demoted, scope)
     group_written = {aname for m in members
                      for aname, cfg in m.config.arrays.items() if cfg.written}
-    interps = [KernelInterpreter(
-        body=m.analysis.nest.body,
-        loop_var=m.loop_var,
-        config=_member_codegen_config(m, demoted, group_written),
-        scalar_reductions=[],
-        private_names=tuple(_private_names(m)),
-        local_types=_local_types(m, scope),
-    ) for m in members]
+    interps = []
+    for m in members:
+        interps.append(KernelInterpreter(
+            body=m.analysis.nest.body,
+            loop_var=m.loop_var,
+            config=_member_codegen_config(m, demoted, group_written),
+            scalar_reductions=[],
+            private_names=tuple(_private_names(m)),
+            local_types=_local_types(m, scope),
+            label_base=sum(len(it.inner_loops) for it in interps),
+        ))
     plan = KernelPlan(
         name=name,
         config=_merged_config(name, members, {d.name for d in demoted}),

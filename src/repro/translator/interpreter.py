@@ -6,7 +6,8 @@ no predication, no flattening -- against the same
 vectorized kernels use.  It is the semantic oracle: property-based
 tests execute random programs through both engines and require
 identical effects (array contents, dirty sets, miss records, reduction
-partials).
+partials).  It reports each inner loop's trips under the vectorizer's
+labels (``ctx.dyn_count``), so both engines also price a launch alike.
 
 The expression evaluator is shared with the host-program executor
 (:mod:`repro.translator.host`), which interprets the *non-offloaded*
@@ -16,7 +17,7 @@ parts of the OpenACC program.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -193,6 +194,19 @@ class KernelInterpreter:
     private_names: tuple[str, ...] = ()
     #: Declared C types of kernel locals (assignment rounds to these).
     local_types: dict | None = None
+    #: Label number of the body's first inner loop (nonzero for later
+    #: members of a fused kernel, whose labels continue the previous
+    #: member's).
+    label_base: int = 0
+    #: Inner loops in the vectorizer's labelling order (pre-order):
+    #: loop k reports its trips as ``L{label_base + k}``, like the
+    #: generated kernel's ``ctx.dyn_count``, so both engines price
+    #: inner-loop work alike.
+    inner_loops: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.inner_loops = [st for st in C.walk(self.body)
+                            if isinstance(st, C.For)]
 
     def run(self, ctx) -> None:
         partials = {var: red_identity(op) for op, var in self.scalar_reductions}
@@ -286,9 +300,13 @@ class KernelInterpreter:
             env[var] = int(ev.eval(s.init.expr.value))
         else:
             raise InterpError("unsupported inner loop init", s.line)
+        label = next(f"L{self.label_base + k}"
+                     for k, f in enumerate(self.inner_loops) if f is s)
+        trips = 0
         while True:
             if s.cond is not None and not ev.eval(s.cond):
                 break
+            trips += 1
             try:
                 self._exec(s.body, env, ctx, partials, red_ops)
             except _BreakLoop:
@@ -297,6 +315,7 @@ class KernelInterpreter:
                 pass
             if s.step is not None:
                 self._exec_assign(_as_assign(s.step), env, ctx, partials, red_ops)
+        ctx.dyn_count(label, trips)
 
     def _exec_assign(self, a: C.Assign, env, ctx, partials, red_ops) -> None:
         ev = self._make_eval(env, ctx, partials, red_ops)

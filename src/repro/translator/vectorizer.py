@@ -11,10 +11,36 @@ iteration space with these translation strategies:
 * **Predication**: ``if``/``else`` become boolean lane masks; stores and
   reductions apply the mask, local assignments merge with
   ``np.where``.
-* **Constant-trip inner loops** (trip count lane-invariant, e.g. MD's
-  neighbor loop, KMEANS' cluster loop) run as short sequential Python
-  loops of vectorized operations; lane-varying affine bounds get an
-  extra bounds mask.
+* **Independent constant-trip inner loops** (lane-invariant bounds,
+  e.g. HEAT2D's row loop, KMEANS' feature accumulation) are flattened:
+  ``j`` becomes an ``arange`` column of shape ``(W, 1)`` that
+  broadcasts against the ``(n,)`` outer lanes, so the whole loop is one
+  pass of NumPy work over a j-major ``(W, n)`` lane block
+  (:func:`~repro.translator.kernel_support.jblocks` bounds a block's
+  size, splitting long ranges into ascending blocks).  A loop is
+  *independent* when its body assigns no kernel local declared outside
+  it, updates no scalar reduction, reads no array it stores to, holds
+  no nested inner loop, stores to each array with one op and one value
+  type, and declares no local shadowing an outer one; the loop must not
+  sit inside a CSR loop, and ``j`` may feed only integer arithmetic
+  (subscripts, integer comparisons, casts), so every value keeps the
+  dtype the sequential form gives it.  One cost rule joins them: a
+  loop with an access that is unit-stride in the outer variable and
+  moves with ``j`` (``x[j*n + i]``) stays sequential, because there the
+  sequential form slices where a block would gather.  Stores are deferred to the end
+  of the block and issued as one store per array in the sequential
+  ``(j, statement, lane)`` order
+  (:func:`~repro.translator.kernel_support.block_sites` stacks the
+  sites into a ``(W, S, n)`` block and compresses it by mask), so
+  last-writer-wins, ``ufunc.at`` accumulation order and write-miss
+  records are exactly the sequential loop's.
+* **Other constant-trip inner loops** (e.g. MD's neighbor loop and
+  KMEANS' cluster loop, which carry ``fx``/``dist`` across iterations)
+  run as short sequential Python loops of vectorized operations;
+  lane-varying affine bounds get an extra bounds mask.  Either way the
+  loop charges the same cost buckets and the same ``ctx.dyn_count``.
+  Inner loops must step by one (``j++``); any other step leaves the
+  kernel to the scalar interpreter.
 * **CSR-pattern inner loops** ``for (e = row[i]; e < row[i+1]; e++)``
   (BFS) are flattened with the repeat/cumsum transform
   (:func:`repro.translator.kernel_support.flat_ranges`): one flat lane
@@ -55,6 +81,7 @@ from ..frontend.analysis import (
     LoopAnalysis,
     affine_in,
     expr_mentions,
+    is_unit_step,
 )
 from ..frontend.directives import AccReductionToArray
 from .array_config import ArrayConfig, LoopConfig, Placement, WriteHandling
@@ -110,13 +137,15 @@ class KernelSourceInfo:
     inner_labels: list[str]
     #: (op, var) scalar reductions the kernel reports via ctx.
     scalar_reductions: list[tuple[str, str]]
+    #: (loop var, strategy) per inner loop, in ``inner_labels`` order.
+    inner_strategies: list[tuple[str, str]]
 
 
 @dataclass
 class _Axis:
     """Current lane context."""
 
-    kind: str  # 'outer' | 'csr'
+    kind: str  # 'outer' | 'csr' | 'block' (a flattened constant loop)
     lanes: str  # Python expression for the lane count
     axis_var: str  # loop variable this axis iterates (for coalescing analysis)
     pos: str | None = None  # csr: vector mapping flat lane -> outer lane index
@@ -150,6 +179,11 @@ class Vectorizer:
         self._tmp = 0
         self._label = 0
         self.inner_labels: list[str] = []
+        #: (loop var, strategy) per inner loop, for ``repro.explain``.
+        self.inner_strategies: list[tuple[str, str]] = []
+        #: Inside a flattened loop: deferred store sites per array,
+        #: ``name -> (statement, op, [(indices, values, mask)])``.
+        self.sites: dict[str, tuple[str, str, list]] | None = None
         self.mask: str | None = None
         self.axis_stack: list[_Axis] = [
             _Axis(kind="outer", lanes="_n", axis_var=analysis.nest.var)
@@ -183,7 +217,8 @@ class Vectorizer:
 
     def hoist(self, src: str) -> str:
         """Bind ``src`` to a fresh temporary (audit variant: a value the
-        access record and the expression both use is computed once)."""
+        access record and the expression both use is computed once;
+        flattened loops: a store site's value at its statement)."""
         t = self.tmp("_h")
         self.emit(f"{t} = {src}")
         return t
@@ -753,6 +788,9 @@ class Vectorizer:
             self.cost.intop(2)
         elif handling == WriteHandling.MISS_CHECK:
             self.cost.intop(4)
+        if self.sites is not None:
+            self.add_site(name, "store", a.op, idx_src, val_src)
+            return
 
         def emit_slow() -> None:
             gi = self.tmp("_gi")
@@ -850,6 +888,9 @@ class Vectorizer:
         self.cost.access(_itemsize(self.config.arrays[name].ctype) * 2,
                          ACCESS_COALESCED)
         self.cost.serialize(2.0)
+        if self.sites is not None:
+            self.add_site(name, "reduce", d.op, idx_src, val_src)
+            return
         gi = self.tmp("_gi")
         gv = self.tmp("_gv")
         self.emit(f"{gi} = ks.msel(ks.bcv({idx_src}, {self.axis.lanes}, np.int64), "
@@ -857,6 +898,43 @@ class Vectorizer:
         self.emit(f"{gv} = ks.msel(ks.bcv({val_src}, {self.axis.lanes}, None), "
                   f"{self.mask or 'None'})")
         self.emit(f"ctx.reduce_to_array({name!r}, {gi}, {gv}, {d.op!r})")
+
+    def add_site(self, name: str, stmt: str, op: str, idx_src: str,
+                 val_src: str) -> None:
+        """Flattened loop: bind one store site's indices and values
+        (under the current mask) for the block's combined store.
+
+        Both are bound to fresh temporaries here, even plain names: a
+        body local stored now may be reassigned (rebound by
+        ``ks.merge`` or a sibling declaration) before the block's
+        stores are issued."""
+        assert self.sites is not None
+        gi = self.hoist(idx_src)
+        gv = self.hoist(val_src)
+        entry = self.sites.setdefault(name, (stmt, op, []))
+        entry[2].append((gi, gv, self.mask))
+
+    def emit_block_stores(self, shape: str) -> None:
+        """Issue each array's deferred sites as one store, in the
+        sequential ``(j, statement, lane)`` order."""
+        assert self.sites is not None
+        for name, (stmt, op, sites) in self.sites.items():
+            gi = self.tmp("_gi")
+            gv = self.tmp("_gv")
+            listing = ", ".join(f"({i}, {v}, {m or 'None'})"
+                                for i, v, m in sites)
+            self.emit(f"{gi}, {gv} = ks.block_sites({shape}, [{listing}])")
+            handling = self.config.arrays[name].write_handling
+            if stmt == "reduce":
+                self.emit(f"ctx.reduce_to_array({name!r}, {gi}, {gv}, "
+                          f"{op!r})")
+            elif handling == WriteHandling.MISS_CHECK:
+                self.emit(f"ctx.write_checked({name!r}, {gi}, {gv}, {op!r})")
+            else:
+                self.emit(f"ks.store(v_{name}, {gi} - _b_{name}, {gv}, "
+                          f"{op!r})")
+                if handling == WriteHandling.DIRTY_BITS:
+                    self.emit(f"ctx.mark_dirty({name!r}, {gi})")
 
     # -- control flow ----------------------------------------------------------------------
 
@@ -890,7 +968,13 @@ class Vectorizer:
             raise VectorizeError(
                 "inner loop bounds are neither lane-invariant nor CSR-shaped",
                 s.line)
+        if not is_unit_step(s.step, il.var):
+            raise VectorizeError(
+                f"inner loop step must be '{il.var}++' (unit stride)", s.line)
         if il.kind == "csr":
+            self.inner_strategies.append(
+                (il.var,
+                 f"CSR (flattened ({self.an.nest.var}, {il.var}) lanes)"))
             self.emit_csr_loop(s, il)
         else:
             self.emit_constant_loop(s, il)
@@ -908,6 +992,13 @@ class Vectorizer:
         if not lo_varying and not hi_varying:
             self.emit(f"ctx.dyn_count({label!r}, max(0, int({hi}) - int({lo})) * "
                       f"ks.lanes_of({self.mask or 'None'}, {self.axis.lanes}))")
+            blocker = self.flatten_blocker(s, il)
+            if blocker is None:
+                self.inner_strategies.append(
+                    (il.var, f"flattened onto ({il.var}, lane) blocks"))
+                self.emit_flat_loop(s, il, label, lo, hi)
+                return
+            self.inner_strategies.append((il.var, f"sequential: {blocker}"))
             self.emit(f"for {jname} in range(int({lo}), int({hi})):")
             self.scalar_vars[il.var] = jname
             self.indent += 1
@@ -919,6 +1010,8 @@ class Vectorizer:
         else:
             # Lane-varying affine bounds: iterate the union range with a
             # per-lane bounds mask.
+            self.inner_strategies.append(
+                (il.var, "sequential: lane-varying bounds"))
             lov = self.tmp("_lov")
             hiv = self.tmp("_hiv")
             self.emit(f"{lov} = ks.bcv({lo}, {self.axis.lanes}, np.int64)")
@@ -944,6 +1037,143 @@ class Vectorizer:
             self.mask = outer_mask
             self.indent -= 1
             del self.scalar_vars[il.var]
+
+    def flatten_blocker(self, s: C.For, il: InnerLoop) -> str | None:
+        """Why a lane-invariant constant loop must stay sequential, or
+        None when it is independent (the rules in the module
+        docstring) and flattens onto a (j, lane) block."""
+        if self.axis.kind != "outer":
+            return "inside a CSR loop"
+        declared: set[str] = set()
+        stores: dict[str, tuple[str, str, str]] = {}
+        loads: set[str] = set()
+        sliced: str | None = None
+        for st in C.walk(s.body):
+            if isinstance(st, C.For):
+                return "contains a nested inner loop"
+            if isinstance(st, C.Decl):
+                if st.name in self.locals:
+                    return f"local `{st.name}` shadows an outer local"
+                declared.add(st.name)
+            red = self._reduction_directive(st)
+            for e in C.stmt_exprs(st):
+                if self._j_escapes(e, il.var):
+                    return f"`{il.var}` used in non-integer arithmetic"
+                target = e.target if isinstance(e, C.Assign) else None
+                if isinstance(target, C.Ident):
+                    if target.name in self.reduction_vars:
+                        return f"updates scalar reduction `{target.name}`"
+                    if target.name not in declared:
+                        return (f"local `{target.name}` carried across "
+                                "iterations")
+                elif isinstance(target, C.Index):
+                    name = target.base_name()
+                    key = ("reduce" if red is not None else "store", e.op,
+                           self.expr_type(e.value))
+                    if stores.setdefault(name, key) != key:
+                        return (f"stores to `{name}` with different ops "
+                                "or value types")
+                loads.update(x.base_name() for x in C.walk_expr(e)
+                             if isinstance(x, C.Index) and x is not target)
+                if sliced is None:
+                    sliced = next((x.base_name() for x in C.walk_expr(e)
+                                   if isinstance(x, C.Index)
+                                   and self._unit_stride(x, il.var,
+                                                         declared)),
+                                  None)
+        both = sorted(loads & set(stores))
+        if both:
+            return f"reads `{both[0]}`, which it stores to"
+        if sliced is not None:
+            return (f"`{sliced}` is unit-stride in `{self.an.nest.var}` "
+                    f"(one slice per `{il.var}`)")
+        return None
+
+    def _unit_stride(self, x: C.Index, var: str, declared: set[str]) -> bool:
+        """Would the sequential form read or write a different
+        contiguous slice per ``var`` for this access (see
+        :meth:`span_start`)?  A flattened block gathers it instead,
+        which costs more once the outer lanes are wide, so such loops
+        stay sequential.  A ``var``-invariant access (``w[i]``) is one
+        gather per block, cheaper than a slice per ``var``."""
+        if len(x.indices) != 1:
+            return False
+        aff = affine_in(x.indices[0], self.an.nest.var)
+        return (aff is not None and aff.coeff == 1
+                and expr_mentions(aff.offset, {var})
+                and not self.lane_varying(aff.offset)
+                and not expr_mentions(aff.offset, declared))
+
+    def _j_escapes(self, e: C.Expr, var: str) -> bool:
+        """Does a value computed from ``var`` reach non-integer
+        arithmetic in ``e``?  A sequential loop's ``var`` is a Python
+        int, which NumPy treats as weakly typed (``float32 * j`` stays
+        float32); the flattened loop's is an int64 array, which would
+        promote.  Subscripts, casts, logical operators and ``?:``
+        conditions end the dependence; integer arithmetic and integer
+        comparisons carry it, and give equal values either way."""
+        escapes = False
+
+        def visit(x: C.Expr) -> bool:
+            nonlocal escapes
+            if isinstance(x, C.Ident):
+                return x.name == var
+            if isinstance(x, (C.Index, C.CastExpr)) or (
+                    isinstance(x, C.BinOp) and x.op in ("&&", "||")) or (
+                    isinstance(x, C.UnOp) and x.op == "!"):
+                for c in C.child_exprs(x):
+                    visit(c)
+                return False
+            if isinstance(x, C.Ternary):
+                visit(x.cond)
+                tainted = visit(x.then) | visit(x.other)
+            else:
+                tainted = False
+                for c in C.child_exprs(x):
+                    tainted |= visit(c)
+            if tainted and not isinstance(x, C.Assign) and (
+                    self.expr_type(x) != "int" or (
+                        isinstance(x, C.BinOp) and "float" in (
+                            self.expr_type(x.left),
+                            self.expr_type(x.right)))):
+                escapes = True
+            return tainted
+
+        visit(e)
+        return escapes
+
+    def emit_flat_loop(self, s: C.For, il: InnerLoop, label: str, lo: str,
+                       hi: str) -> None:
+        """Emit an independent constant loop as j-major lane blocks.
+
+        The body is translated once against a ``block`` axis whose
+        lanes are the block shape; ``j`` is lane-invariant for cost
+        classification, exactly as in the sequential form, so the
+        charges are the same.  Locals declared in the body go out of
+        scope at the end of the loop, as in C.
+        """
+        jname = f"_jb_{il.var}"
+        shape = self.tmp("_sh")
+        self.emit(f"for {jname}, {shape} in ks.jblocks(int({lo}), int({hi}), "
+                  f"{self.axis.lanes}):")
+        self.indent += 1
+        scope = (dict(self.locals), dict(self.local_axis))
+        self.axis_stack.append(
+            _Axis(kind="block", lanes=shape, axis_var=self.axis.axis_var))
+        self.scalar_vars[il.var] = jname
+        self.sites = {}
+        start = len(self.lines)
+        self.cost.push(label)
+        self.emit_stmt(s.body)
+        self.cost.pop()
+        self.emit_block_stores(shape)
+        if len(self.lines) == start:
+            self.emit("pass")
+        self.sites = None
+        del self.scalar_vars[il.var]
+        self.axis_stack.pop()
+        self.locals, self.local_axis = scope
+        self.indent -= 1
 
     def emit_csr_loop(self, s: C.For, il: InnerLoop) -> None:
         if self.axis.kind != "outer":
@@ -1027,6 +1257,7 @@ class Vectorizer:
             scalar_names=sorted(set(self.an.host_scalars)),
             inner_labels=list(self.inner_labels),
             scalar_reductions=list(self.an.scalar_reductions),
+            inner_strategies=list(self.inner_strategies),
         )
 
 

@@ -324,6 +324,59 @@ def test_interpreter_engine_matches_vector_engine_fused():
     np.testing.assert_array_equal(vec["out"], interp["out"])
 
 
+ROWS = r"""
+void f(int n, int m, float *x, float *y, float *z) {
+  #pragma acc data copyin(x[0:n*m]) copy(y[0:n*m], z[0:n*m])
+  {
+    #pragma acc parallel loop
+    for (int i = 0; i < n; i++) {
+      for (int j = 0; j < m; j++) { y[i * m + j] = x[i * m + j] * 2.0f; }
+    }
+    #pragma acc parallel loop
+    for (int i = 0; i < n; i++) {
+      float s = x[i * m];
+      for (int j = 0; j < m; j++) {
+        if (j > 0) { z[i * m + j] = x[i * m + j] + s; }
+      }
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("ngpus", [1, 2, 3])
+def test_fused_kernel_flattens_member_inner_loops(ngpus):
+    """Fusion drives the same vectorizer: each member's independent
+    inner loop is flattened, its dyn-count label continues the previous
+    member's, and the scalar interpreter agrees on arrays and modeled
+    time."""
+    fuse = CompileOptions(fuse=True)
+    x = np.arange(60, dtype=np.float32) % 7 - 3
+    args = {"n": 12, "m": 5, "x": x, "y": np.zeros(60, np.float32),
+            "z": np.zeros(60, np.float32)}
+    results = {}
+    for options, engine in ((None, "vector"), (fuse, "vector"),
+                            (fuse, "interp")):
+        prog = repro.compile(ROWS, options)
+        a = {k: (v.copy() if isinstance(v, np.ndarray) else v)
+             for k, v in args.items()}
+        run = prog.run("f", a, machine=machine_for(ngpus), ngpus=ngpus,
+                       engine=engine)
+        results[(options is fuse, engine)] = (a, run.elapsed)
+    group = repro.compile(ROWS, fuse).compiled.fusion_groups[0]
+    info = group.fused.source_info
+    assert info.inner_labels == ["L0", "L1"]
+    assert [s for _, s in info.inner_strategies] == \
+        ["flattened onto (j, lane) blocks"] * 2
+    plain, _ = results[(False, "vector")]
+    fused, elapsed = results[(True, "vector")]
+    interp, interp_elapsed = results[(True, "interp")]
+    for name in ("y", "z"):
+        np.testing.assert_array_equal(fused[name], plain[name])
+        np.testing.assert_array_equal(interp[name], fused[name])
+    assert interp_elapsed == elapsed
+
+
 def test_sanitized_fused_run_is_clean():
     args = pipe_args()
     fused, _ = run_source(PIPE, args, 2, CompileOptions(fuse=True),

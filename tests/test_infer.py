@@ -531,6 +531,27 @@ class TestExplain:
 
 
 class TestExplainCLI:
+    @pytest.mark.parametrize("app,expected", [
+        ("heat2d", ["loop heat2d_L0 (iterates i):",
+                    "  inner loop j: flattened onto (j, lane) blocks",
+                    "loop heat2d_L1 (iterates i):",
+                    "  inner loop j: flattened onto (j, lane) blocks"]),
+        ("kmeans", ["loop kmeans_L0 (iterates i):",
+                    "  inner loop c: sequential: contains a nested inner "
+                    "loop",
+                    "  inner loop f: sequential: local `dist` carried "
+                    "across iterations",
+                    "loop kmeans_L1 (iterates i):",
+                    "  inner loop f: flattened onto (f, lane) blocks"]),
+        ("bfs", ["loop bfs_L0 (iterates u):",
+                 "  inner loop e: CSR (flattened (u, e) lanes)"]),
+    ])
+    def test_inner_loop_strategies(self, capsys, app, expected):
+        assert explain_main(["--app", app]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith(("loop ", "  inner loop "))]
+        assert lines == expected
+
     def test_app_mode(self, capsys):
         assert explain_main(["--app", "stencil"]) == 0
         out = capsys.readouterr().out

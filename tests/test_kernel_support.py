@@ -153,3 +153,99 @@ class TestRedFold:
         out = ks.cast_to(np.array([1.9, 2.1]), np.int32)
         assert out.dtype == np.int32
         np.testing.assert_array_equal(out, [1, 2])
+
+
+class TestGuardedGather:
+    """``ld`` gathers with ``take(mode="clip")``; the reference is the
+    clip-and-index form it replaced."""
+
+    @given(st.integers(1, 40), st.sampled_from([np.int32, np.int64]),
+           st.lists(st.integers(-100, 100), max_size=30),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_ld_matches_clip_and_index(self, size, dtype, idx, zero_d):
+        arr = np.arange(size, dtype=np.float32) * 1.5 - 7
+        if zero_d:
+            index = np.array(idx[0] if idx else 0, dtype=dtype)
+        else:
+            index = np.array(idx, dtype=dtype)
+        got = ks.ld(arr, index)
+        want = arr[np.clip(index, 0, size - 1)] if index.size else arr[index]
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        np.testing.assert_array_equal(got, want)
+
+    @given(st.integers(1, 30), st.integers(-40, 40), st.integers(-3, 40))
+    @settings(max_examples=120, deadline=None)
+    def test_ld_span_matches_ld(self, size, lo, n):
+        arr = np.arange(size, dtype=np.float64) - 3
+        want = ks.ld(arr, np.arange(lo, lo + n, dtype=np.int64))
+        np.testing.assert_array_equal(ks.ld_span(arr, lo, n), want)
+
+    def test_scalar_index_clips(self):
+        arr = np.array([4.0, 5.0, 6.0])
+        assert ks.ld(arr, -9) == 4.0 and ks.ld(arr, 99) == 6.0
+
+    def test_empty_array_nonempty_index_raises(self):
+        with pytest.raises(IndexError):
+            ks.ld(np.zeros(0, np.float32), np.array([0, 1]))
+
+
+class TestLaneBlocks:
+    def test_jblocks_cover_range_in_order(self, monkeypatch):
+        monkeypatch.setattr(ks, "JBLOCK_ELEMS", 10)
+        blocks = list(ks.jblocks(3, 12, 4))
+        assert [s for _, s in blocks] == [(2, 4)] * 4 + [(1, 4)]
+        js = np.concatenate([j[:, 0] for j, _ in blocks])
+        np.testing.assert_array_equal(js, np.arange(3, 12))
+        assert list(ks.jblocks(5, 5, 4)) == []
+
+    def test_jblocks_at_least_one_row(self, monkeypatch):
+        monkeypatch.setattr(ks, "JBLOCK_ELEMS", 2)
+        assert [s for _, s in ks.jblocks(0, 3, 100)] == [(1, 100)] * 3
+
+    def test_bcv_block_broadcasts_lanes_and_columns(self):
+        lanes = ks.bcv(np.arange(3), (2, 3), np.int64)
+        np.testing.assert_array_equal(lanes, [[0, 1, 2], [0, 1, 2]])
+        assert lanes.flags.writeable
+        col = ks.bcv(np.array([[1.0], [2.0]]), (2, 3), None)
+        np.testing.assert_array_equal(col, [[1, 1, 1], [2, 2, 2]])
+        np.testing.assert_array_equal(ks.bcv(7, (2, 2)), [[7, 7], [7, 7]])
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_block_sites_match_sequential_order(self, data, w, n, k):
+        """Compressed sites equal the per-(j, site) masked selections a
+        sequential loop issues, concatenated in that order."""
+        sites = []
+        for _ in range(k):
+            idx = np.array(data.draw(st.lists(st.integers(0, 50),
+                                              min_size=w * n,
+                                              max_size=w * n))).reshape(w, n)
+            val = np.arange(w * n, dtype=np.float32).reshape(w, n) + len(sites)
+            mask = data.draw(st.one_of(
+                st.none(),
+                st.lists(st.booleans(), min_size=w * n, max_size=w * n)
+                .map(lambda b: np.array(b).reshape(w, n)),
+                st.lists(st.booleans(), min_size=n, max_size=n)
+                .map(np.array)))
+            sites.append((idx, val, mask))
+        gi, gv = ks.block_sites((w, n), sites)
+        want_i, want_v = [], []
+        for j in range(w):
+            for idx, val, mask in sites:
+                m = np.ones(n, bool) if mask is None else \
+                    np.broadcast_to(mask, (w, n))[j]
+                want_i.append(idx[j][m])
+                want_v.append(val[j][m])
+        np.testing.assert_array_equal(gi, np.concatenate(want_i))
+        np.testing.assert_array_equal(gv, np.concatenate(want_v))
+        assert gi.dtype == np.int64 and gv.dtype == np.float32
+
+    def test_block_sites_broadcast_scalars_and_promote(self):
+        gi, gv = ks.block_sites((2, 2), [(np.array([[0], [5]]), 1.5, None),
+                                         (np.arange(2), np.float32(2), None)])
+        np.testing.assert_array_equal(gi, [0, 0, 0, 1, 5, 5, 0, 1])
+        np.testing.assert_array_equal(gv, [1.5, 1.5, 2, 2] * 2)
+        assert gv.dtype == np.float64

@@ -163,6 +163,53 @@ class TestLocalAccessAudit:
             np.arange(64, dtype=np.float32)[:-1] * 2 + 1)
 
 
+class TestDemotedReplicaAudit:
+    """A window the adaptive balancer adopts at run time (a demoted
+    replica's ``inferred_window``) was derived by the compiler, so a
+    violation on it is an inference bug, not a user error."""
+
+    PAIRS = r"""
+    void pairs(int n, int iters, float *a, float *b) {
+      #pragma acc data copy(a[0:2*n], b[0:n])
+      {
+        for (int it = 0; it < iters; it++) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            a[2 * i] = a[2 * i] * 0.5f + a[2 * i + 1] + b[i];
+          }
+        }
+      }
+    }
+    """
+
+    def test_violating_demotion_reports_inference_unsound(self):
+        import dataclasses
+
+        from repro.translator.compiler import compile_source
+
+        # infer=False keeps ``a`` replicated, so only the balancer's
+        # demotion can distribute it.  Uncached: the test edits it.
+        prog = repro.AccProgram(compile_source(
+            self.PAIRS, repro.CompileOptions(infer=False), cache=False))
+        cfg = prog.compiled.plans[0].config.arrays["a"]
+        window = cfg.inferred_window
+        assert window.origin == "inferred"
+        # Narrow it to [2i, 2i]: the a[2i + 1] reads now fall outside.
+        cfg.inferred_window = dataclasses.replace(window, upper=window.lower)
+        rng = np.random.default_rng(0)
+        n = 50_000
+        args = {"n": n, "iters": 12,
+                "a": rng.standard_normal(2 * n).astype(np.float32),
+                "b": rng.standard_normal(n).astype(np.float32)}
+        with pytest.raises(CoherenceViolation) as exc:
+            prog.run("pairs", args, machine="desktop", ngpus=2,
+                     adaptive=True, sanitize=True)
+        e = exc.value
+        assert e.kind == "localaccess-inference-unsound"
+        assert (e.loop, e.array) == ("pairs_L0", "a")
+        assert "compiler-inferred" in e.detail
+
+
 class TestFaultInjection:
     """Seeded runtime bugs must be caught, with the right diagnosis.
 

@@ -13,7 +13,7 @@ import repro
 from repro.translator.compiler import CompileOptions, compile_source
 from repro.translator.vectorizer import VectorizeError
 
-from tests.util import run_source
+from tests.util import compare_engines, run_source
 
 
 def f32(*vals):
@@ -326,6 +326,205 @@ class TestInnerLoops:
                                    "vals": np.zeros(1, np.float32),
                                    "y": np.zeros(4, np.float32)}, ngpus=2)
         np.testing.assert_allclose(args["y"], 0)
+
+
+def _strategies(src):
+    plan = compile_source(src).plans[0]
+    return plan.source_info.source, plan.source_info.inner_strategies
+
+
+def _inner_args(n=5, m=4):
+    x = np.random.default_rng(n * 10 + m).integers(-8, 8, n * m) \
+        .astype(np.float32)
+    return lambda: {"n": n, "m": m, "x": x.copy(),
+                    "y": np.zeros(n * m, np.float32)}
+
+
+class TestInnerLoopFlattening:
+    """Independent constant-trip inner loops run as one (j, lane) block;
+    every ineligible shape keeps the sequential ``for _j_`` loop."""
+
+    @pytest.mark.parametrize("app,loops", [
+        ("heat2d", {"heat2d_L0": True, "heat2d_L1": True}),
+        ("kmeans", {"kmeans_L0": False, "kmeans_L1": True}),
+        ("md", {"md_L0": False}),
+    ])
+    def test_apps(self, app, loops):
+        from repro.apps import ALL_APPS, EXTRA_APPS
+        prog = repro.compile((ALL_APPS | EXTRA_APPS)[app].source)
+        for name, flat in loops.items():
+            text = prog.kernel_source(name)
+            assert ("for _j_" not in text) == flat, name
+            assert ("ks.jblocks(" in text) == flat, name
+
+    def test_flattened_program_matches_interpreter(self):
+        src = """
+        void k(int n, int m, float *x, float *y, float *z) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            float t = x[i * m];
+            for (int j = 0; j < m; j++) {
+              float d = x[i * m + j] - t;
+              if (d > 0.0f && j > 0) { y[i * m + j] = d; }
+              else { y[i * m + j] = -d; }
+            }
+            for (int j2 = 0; j2 < m; j2++) {
+              float d = t + 0.5f;
+              z[i * m + j2] = d * 2.0f;
+            }
+          }
+        }
+        """
+        text, strat = _strategies(src)
+        assert "for _j_" not in text
+        assert strat == [("j", "flattened onto (j, lane) blocks"),
+                         ("j2", "flattened onto (j2, lane) blocks")]
+        base = _inner_args()
+        compare_engines(src, lambda: {**base(), "z": np.zeros(20, np.float32)},
+                        ngpus_list=(1, 2), rtol=0, atol=0)
+
+    def test_empty_range(self):
+        src = """
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            for (int j = 0; j < m; j++) { y[i * m + j] = x[i * m + j]; }
+          }
+        }
+        """
+        args, run = run_source(src, {"n": 3, "m": 0,
+                                     "x": np.ones(1, np.float32),
+                                     "y": np.zeros(1, np.float32)}, ngpus=2)
+        assert args["y"][0] == 0
+
+    INELIGIBLE = {
+        "carried local": ("""
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            float s = 0.0f;
+            for (int j = 0; j < m; j++) { s = s + x[i * m + j]; }
+            y[i] = s;
+          }
+        }""", "local `s` carried across iterations"),
+        "scalar reduction": ("""
+        float k(int n, int m, float *x, float *y) {
+          float total = 0.0f;
+          #pragma acc parallel loop reduction(+:total)
+          for (int i = 0; i < n; i++) {
+            for (int j = 0; j < m; j++) { total += x[i * m + j]; }
+          }
+          return total;
+        }""", "updates scalar reduction `total`"),
+        "reads stored array": ("""
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            for (int j = 0; j < m; j++) {
+              y[i * m + j] = x[i * m + j] + y[i * m];
+            }
+          }
+        }""", "reads `y`, which it stores to"),
+        "nested loop": ("""
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            for (int j = 0; j < m; j++) {
+              for (int q = 0; q < 2; q++) { y[i * m + j] = x[i * m + q]; }
+            }
+          }
+        }""", "contains a nested inner loop"),
+        "two store ops": ("""
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc localaccess y[stride(m)]
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            for (int j = 0; j < m; j++) {
+              y[i * m + j] = x[i * m + j];
+              y[i * m + j] += 1.0f;
+            }
+          }
+        }""", "stores to `y` with different ops or value types"),
+        "j in float arithmetic": ("""
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            for (int j = 0; j < m; j++) { y[i * m + j] = x[i * m + j] * j; }
+          }
+        }""", "`j` used in non-integer arithmetic"),
+        "shadowing local": ("""
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            float t = x[i];
+            for (int j = 0; j < m; j++) {
+              float t = x[i * m + j];
+              y[i * m + j] = t;
+            }
+          }
+        }""", "local `t` shadows an outer local"),
+        # Column-major: the sequential form reads and writes one
+        # contiguous slice per j, cheaper than a block gather once the
+        # outer lanes are wide.
+        "unit-stride access": ("""
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            for (int j = 0; j < m; j++) {
+              y[i * m + j] = x[j * n + i] * 2.0f;
+            }
+          }
+        }""", "`x` is unit-stride in `i` (one slice per `j`)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INELIGIBLE))
+    def test_ineligible_stays_sequential(self, case):
+        src, reason = self.INELIGIBLE[case]
+        text, strat = _strategies(src)
+        assert "for _j_j in range(" in text
+        assert strat[0] == ("j", f"sequential: {reason}")
+        compare_engines(src, _inner_args(), ngpus_list=(1, 2),
+                        outputs=["y"] if "reduction" not in case else ["x"])
+
+    def test_constant_loop_inside_csr_stays_sequential(self):
+        src = """
+        void k(int n, int m, int *row, float *vals, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            for (int e = row[i]; e < row[i + 1]; e++) {
+              for (int j = 0; j < m; j++) { y[e * m + j] = vals[e] + 1.0f; }
+            }
+          }
+        }
+        """
+        text, strat = _strategies(src)
+        assert strat == [("e", "CSR (flattened (i, e) lanes)"),
+                         ("j", "sequential: inside a CSR loop")]
+        row = np.array([0, 2, 2, 5], np.int32)
+        compare_engines(src, lambda: {
+            "n": 3, "m": 2, "row": row.copy(),
+            "vals": np.arange(5, dtype=np.float32),
+            "y": np.zeros(10, np.float32)}, ngpus_list=(1, 2))
+
+    def test_non_unit_step_runs_on_interpreter(self):
+        # The generated kernel would iterate every j; the step is only
+        # honoured by the scalar interpreter, so the loop falls back.
+        src = """
+        void k(int n, int m, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) {
+            float s = 0.0f;
+            for (int j = 0; j < m; j += 2) { s += x[i * m + j]; }
+            y[i] = s;
+          }
+        }
+        """
+        plan = compile_source(src).plans[0]
+        assert plan.fn is None and "unit stride" in plan.vectorize_error
+        args, _ = run_source(src, {"n": 2, "m": 4,
+                                   "x": np.arange(8, dtype=np.float32),
+                                   "y": np.zeros(2, np.float32)}, ngpus=2)
+        np.testing.assert_array_equal(args["y"], [2, 10])
 
 
 class TestReductions:
